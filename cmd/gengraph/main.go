@@ -34,7 +34,7 @@ func main() {
 		dir     = flag.String("dir", ".", "output directory for -all")
 		format  = flag.String("format", "text", "output format: text (edge list) or binary (fast loading)")
 
-		skew       = flag.Int("skew", 0, "generate a graph with this many vertices whose live-edge sample sizes are heavy-tailed (exercises estimator work stealing); overrides -dataset/-all")
+		skew       = flag.Int("skew", 0, "generate a graph with this many vertices whose live-edge sample sizes are heavy-tailed (unbalances the parallel incremental estimator round); overrides -dataset/-all")
 		skewChains = flag.Int("skew-chains", 16, "with -skew: number of high-probability cascade chains behind the gateway vertex")
 	)
 	flag.Parse()

@@ -188,7 +188,7 @@ func main() {
 	// profiling endpoints are never exposed on the service address and the
 	// global DefaultServeMux stays empty. The mutex/block profiles are
 	// useless at their zero sampling defaults — the companion flags turn
-	// them on for shard-contention investigations.
+	// them on for contention investigations.
 	if *pprofAddr != "" {
 		runtime.SetMutexProfileFraction(*mutexFraction)
 		runtime.SetBlockProfileRate(*blockRate)

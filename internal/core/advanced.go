@@ -21,10 +21,10 @@ func solveAdvancedGreedy(halt stopper, in *instance, est *estBackend, b int, opt
 			return halt.abort(Result{Blockers: blockers, SampledGraphs: est.samplesDrawn()})
 		}
 		var roundStart time.Time
-		var proc0, stole0 int64
+		var proc0 int64
 		if opt.OnRound != nil {
 			roundStart = time.Now()
-			proc0, stole0 = est.workSnapshot()
+			proc0 = est.workSnapshot()
 		}
 		// Δ[u] for every candidate at once, on G[V \ B].
 		delta := est.decreaseES(in.src, blocked, uint64(round))
@@ -36,7 +36,7 @@ func solveAdvancedGreedy(halt stopper, in *instance, est *estBackend, b int, opt
 		blocked[best] = true
 		est.noteFlip(best)
 		blockers = append(blockers, best)
-		emitRound(opt, round, "select", best, roundStart, est, proc0, stole0)
+		emitRound(opt, round, "select", best, roundStart, est, proc0)
 	}
 	return Result{Blockers: blockers, SampledGraphs: est.samplesDrawn()}
 }

@@ -53,7 +53,7 @@ func newEstBackend(in *instance, opt Options, base *rng.Source) *estBackend {
 	b := &estBackend{theta: opt.Theta, base: base}
 	sampler := in.sampler(opt.Diffusion)
 	if opt.ReuseSamples {
-		b.incr = NewIncrementalPooledEstimatorEnc(sampler, in.src, opt.Theta, opt.Workers, opt.DomAlgo, base.Split(^uint64(0)), opt.PoolEncoding)
+		b.incr = NewIncrementalPooledEstimator(sampler, in.src, opt.Theta, opt.Workers, opt.DomAlgo, base.Split(^uint64(0)))
 		b.drawn = int64(opt.Theta)
 	} else {
 		b.fresh = NewEstimator(sampler, opt.Workers, opt.DomAlgo)
@@ -114,15 +114,14 @@ func (b *estBackend) decreaseES(src graph.V, blocked []bool, round uint64) []flo
 // sampling counts per round).
 func (b *estBackend) samplesDrawn() int64 { return b.drawn }
 
-// workSnapshot returns cumulative (samples processed, samples stolen)
-// counters; Options.OnRound emitters delta two snapshots to charge work to
-// a single round. Incremental backends report reprocessed dirty samples
-// and shard steals, fresh backends report samples drawn; the plain pooled
-// backend (tests only) reports nothing.
-func (b *estBackend) workSnapshot() (processed, stolen int64) {
+// workSnapshot returns the cumulative samples-processed counter;
+// Options.OnRound emitters delta two snapshots to charge work to a single
+// round. Incremental backends report reprocessed dirty samples, fresh
+// backends report samples drawn; the plain pooled backend (tests only)
+// reports nothing.
+func (b *estBackend) workSnapshot() int64 {
 	if b.incr != nil {
-		st := b.incr.Stats()
-		return st.SamplesReprocessed, st.SamplesStolen
+		return b.incr.Stats().SamplesReprocessed
 	}
-	return b.drawn, 0
+	return b.drawn
 }

@@ -142,23 +142,3 @@ func BenchmarkDecreaseES_Incremental(b *testing.B) {
 	st := incr.Stats()
 	b.ReportMetric(float64(st.SamplesReprocessed)/float64(st.Rounds), "dirty-samples/round")
 }
-
-// BenchmarkDecreaseES_IncrementalCompressed is the incremental workload on
-// a compressed pool: the same dirty-only rounds, plus the per-dirty-sample
-// varint decode. The gap to BenchmarkDecreaseES_Incremental is the ns price
-// of the pool_bytes reduction.
-func BenchmarkDecreaseES_IncrementalCompressed(b *testing.B) {
-	in := estBenchInstance(b)
-	pool := NewSamplePoolEnc(in.sampler(DiffusionIC), in.src, estBenchTheta, 0, rng.New(7), PoolCompressed)
-	traj := benchTrajectory(b, in, pool.decompress(0))
-	blocked := make([]bool, in.g.N())
-	incr := NewIncrementalPooledEstimatorFromPool(pool, 0, DomLengauerTarjan)
-	est := &estBackend{incr: incr, theta: estBenchTheta}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		greedyRounds(in, est, traj, blocked)
-	}
-	reportPerRound(b)
-	st := incr.Stats()
-	b.ReportMetric(float64(st.SamplesReprocessed)/float64(st.Rounds), "dirty-samples/round")
-}

@@ -55,8 +55,11 @@ func TestOnRoundBitIdentity(t *testing.T) {
 				if ri.Phase != "select" && ri.Phase != "replace" {
 					t.Fatalf("round %d: bad phase %q", i, ri.Phase)
 				}
-				if ri.Duration < 0 || ri.SamplesDirty < 0 || ri.SamplesStolen < 0 {
+				if ri.Duration < 0 || ri.SamplesDirty < 0 {
 					t.Fatalf("round %d: negative counters: %+v", i, ri)
+				}
+				if ri.SamplesStolen != 0 {
+					t.Fatalf("round %d: SamplesStolen = %d, want the documented 0", i, ri.SamplesStolen)
 				}
 			}
 			// The selection rounds must report the chosen blockers in order.

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/imin-dev/imin/internal/cascade"
 	"github.com/imin-dev/imin/internal/dominator"
@@ -11,19 +10,19 @@ import (
 	"github.com/imin-dev/imin/internal/rng"
 )
 
-// IncrementalPooledEstimator is the delta-maintained, shard-parallel
-// version of PooledEstimator. Blocking (or unblocking) a vertex x can only
-// change the filtered dominator computation of samples whose reachable
-// region contains x, so instead of re-scanning all θ samples every round it
+// IncrementalPooledEstimator is the delta-maintained, parallel version of
+// PooledEstimator. Blocking (or unblocking) a vertex x can only change the
+// filtered dominator computation of samples whose reachable region contains
+// x, so instead of re-scanning all θ samples every round it
 //
 //  1. diffs the requested blocker set against the one the cache reflects,
-//  2. collects the dirty samples through the pool's inverted index into a
-//     staging list, grouped into one contiguous batch per worker shard,
-//  3. has the workers retract the dirty samples' cached per-vertex
-//     subtree-size contributions, re-run the filtered dominator
-//     computation, and add the new contributions back — each worker into
-//     its own cache-line-aligned int64 accumulator, stealing batch chunks
-//     from overloaded shards once its own batch is drained,
+//  2. collects the dirty samples through the pool's inverted index into one
+//     staging list,
+//  3. has the workers claim fixed-size chunks of that list through a single
+//     atomic cursor, retract each claimed sample's cached per-vertex
+//     subtree-size contributions, re-run the filtered dominator computation,
+//     and add the new contributions back — each worker into its own
+//     cache-line-aligned int64 accumulator,
 //  4. refreshes the cached Δ vector at exactly the touched vertices by a
 //     range-partitioned parallel reduction over the worker accumulators.
 //
@@ -32,65 +31,50 @@ import (
 // fraction of θ — P the worker count, and t the number of touched
 // vertices, against PooledEstimator's O(θ·m̄).
 //
-// Sharding and stealing: the θ samples are partitioned into P contiguous
-// ranges; shard s is handed the batch of dirty samples it owns at the start
-// of each round. Worker s drains its own batch first (cache locality: a
-// shard's samples are adjacent in the arena), then claims fixed-size chunks
-// from the fullest remaining batch through that shard's atomic cursor — the
-// only cross-worker write target of the phase, padded onto its own cache
-// line. A stolen sample's contributions land in the THIEF's accumulator,
-// not the owner's: correctness needs only the invariant that
-// Σ_s acc_s[u] equals the sum of u's cached contributions over all samples,
-// and exact int64 addition makes that sum independent of which accumulator
-// holds which part. The contribution arena is sample-disjoint, and each
-// claimed chunk has exactly one processor, so the phase is race-free.
-//
-// Equivalence and P-independence: contributions are exact int64 values and
-// Σ_s acc_s[u] is invariant under both the partition and the steal
-// schedule, so DecreaseES output is bit-identical to PooledEstimator over
-// the same pool for every blocker sequence, every worker count, and every
-// interleaving — workers=1 and workers=8 return the same bits (the
-// cross-validation and determinism tests assert this). The estimator
-// carries mutable state and admits one DecreaseES caller at a time, like
-// Estimator; the state survives across solves, so a warm session's later
-// runs on the same pool only reprocess samples touched by the previous
-// run's blockers. SetWorkers reshards without touching the pool or the
+// Equivalence and P-independence: no sample has an owning worker. Whichever
+// worker claims a sample folds its contribution deltas into its own
+// accumulator, and correctness needs only the invariant that
+// Σ_w acc_w[u] equals the sum of u's cached contributions over all samples.
+// Contributions are exact int64 values, so that sum — and with it the
+// DecreaseES output — is independent of the worker count and of the claim
+// schedule: it is bit-identical to PooledEstimator over the same pool for
+// every blocker sequence, every worker count, and every interleaving (the
+// cross-validation and determinism tests assert this). The contribution
+// arena is sample-disjoint and each claimed chunk has exactly one
+// processor, so the phase is race-free. The estimator carries mutable
+// state and admits one DecreaseES caller at a time, like Estimator; the
+// state survives across solves, so a warm session's later runs on the same
+// pool only reprocess samples touched by the previous run's blockers.
+// SetWorkers rebuilds the worker set without touching the pool or the
 // contribution cache.
 type IncrementalPooledEstimator struct {
 	pool    *SamplePool
-	workers int // requested; len(shards) is the clamped effective count
+	workers int // requested; len(ws) is the clamped effective count
 	domAlgo DomAlgo
 
 	primed      bool
 	prevBlocked []bool    // blocker set the cache reflects
-	vals        []float64 // vals[u] = float64(Σ_s acc_s[u])/θ, maintained at touched entries
+	vals        []float64 // vals[u] = float64(Σ_w acc_w[u])/θ, maintained at touched entries
 
 	// Per-sample contribution cache in arena form: sample i's entries
 	// occupy the first contribLen[i] slots of
 	// contrib{Vert,Size}[pool.contribBase(i):], which fits because a sample
 	// contributes at most K_i−1 (vertex, size) pairs. Slots of distinct
 	// samples are disjoint, so workers recompute dirty samples in parallel.
-	// The cache is partition-independent state: resharding reuses it to
-	// rebuild the new shard accumulators.
+	// The cache is worker-independent state: SetWorkers reuses it to
+	// rebuild the new accumulators.
 	contribLen  []int32
 	contribVert []graph.V
 	contribSize []int32
 
-	shards  []*incShard
-	ownerOf []int32 // sample id → owning shard index
+	ws []*incWorker
 
 	// Dirty staging: markDirty appends to dirtyList (deduped by dirtyMark)
-	// in encounter order; at the start of each round the list is grouped by
-	// owning shard into batchBuf — one contiguous batch per shard, handed
-	// over in a single slice assignment instead of per-sample queue
-	// appends. The staging list is shard-layout-independent, so pending
-	// dirty samples (queued by RepairPool between rounds) survive a
-	// SetWorkers reshard in place.
+	// in encounter order; a round's workers claim chunks of it. The list is
+	// worker-independent, so pending dirty samples (queued by RepairPool
+	// between rounds) survive SetWorkers in place.
 	dirtyMark []bool  // dedup over samples, cleared after each round
 	dirtyList []int32 // staged dirty samples for the next round
-	batchBuf  []int32 // round scratch: dirtyList grouped by owner
-	batchCnt  []int32 // round scratch: per-shard batch boundaries
-	batchPos  []int32 // round scratch: per-shard fill cursors
 
 	union      []graph.V   // serial-reduction union scratch
 	unionParts [][]graph.V // parallel-reduction per-range segments
@@ -98,59 +82,34 @@ type IncrementalPooledEstimator struct {
 
 	rounds      int64 // DecreaseES calls answered
 	reprocessed int64 // dirty samples recomputed across all rounds
-	stolenPast  int64 // steals folded in from shards retired by reshard
 }
 
-// incShard is one worker's persistent state: the contiguous sample range it
-// owns, its cache-line-aligned accumulator and touched-mark arrays, and the
-// scratch for re-running filtered dominator computations. During the
-// parallel phase a worker writes only its own fields plus the
-// (sample-disjoint) contribution arena — except the claim cursors, which
-// are the designed cross-worker handoff point.
-type incShard struct {
-	lo, hi int // owned sample range [lo, hi)
+// incWorker is one worker's persistent state: its cache-line-aligned
+// accumulator and touched-mark arrays, and the scratch for re-running
+// filtered dominator computations. During the parallel phase a worker
+// writes only its own fields plus the (sample-disjoint) contribution arena.
+type incWorker struct {
 	filterScratch
 	sview   sampleView
-	acc     []int64   // acc[u] = Σ of cached subtree sizes this worker folded in; cache-line-aligned
+	acc     []int64   // acc[u] = Σ of cached subtree-size deltas this worker folded in; cache-line-aligned
 	marked  []bool    // dedup for touched; cache-line-aligned
 	touched []graph.V // vertices whose acc changed this round
-	batch   []int32   // this round's owned dirty batch (aliases batchBuf)
-
-	// Work counters, written only by this shard's worker goroutine.
-	processed int64 // dirty samples this worker recomputed (own + stolen)
-	stolen    int64 // subset claimed from other shards' batches
-	procNs    int64 // cumulative ns in the parallel dirty-processing phase
-
-	// cur is the claim cursor into batch: every worker that takes a chunk
-	// (the owner included) bumps it. It is the one word of this struct that
-	// other workers write during the parallel phase, so it gets a cache
-	// line of its own — without the padding, a steal would invalidate the
-	// owner's adjacent hot fields on every claim.
-	_   [cacheLine]byte
-	cur atomic.Int64
-	_   [cacheLine - 8]byte
 }
 
 // add folds one contribution delta into the worker accumulator, recording
 // the vertex for the reduction phase.
-func (sh *incShard) add(v graph.V, d int64) {
-	if !sh.marked[v] {
-		sh.marked[v] = true
-		sh.touched = append(sh.touched, v)
+func (w *incWorker) add(v graph.V, d int64) {
+	if !w.marked[v] {
+		w.marked[v] = true
+		w.touched = append(w.touched, v)
 	}
-	sh.acc[v] += d
+	w.acc[v] += d
 }
 
-// NewIncrementalPooledEstimator draws theta samples into a fresh flat pool
-// and wraps it. workers <= 0 selects GOMAXPROCS.
+// NewIncrementalPooledEstimator draws theta samples into a fresh pool and
+// wraps it. workers <= 0 selects GOMAXPROCS.
 func NewIncrementalPooledEstimator(sampler cascade.LiveSampler, src graph.V, theta, workers int, domAlgo DomAlgo, base *rng.Source) *IncrementalPooledEstimator {
-	return NewIncrementalPooledEstimatorEnc(sampler, src, theta, workers, domAlgo, base, PoolFlat)
-}
-
-// NewIncrementalPooledEstimatorEnc is NewIncrementalPooledEstimator with an
-// explicit pool arena layout; output is bit-identical across encodings.
-func NewIncrementalPooledEstimatorEnc(sampler cascade.LiveSampler, src graph.V, theta, workers int, domAlgo DomAlgo, base *rng.Source, enc PoolEncoding) *IncrementalPooledEstimator {
-	return NewIncrementalPooledEstimatorFromPool(NewSamplePoolEnc(sampler, src, theta, workers, base, enc), workers, domAlgo)
+	return NewIncrementalPooledEstimatorFromPool(NewSamplePool(sampler, src, theta, workers, base), workers, domAlgo)
 }
 
 // NewIncrementalPooledEstimatorFromPool wraps an existing (possibly shared)
@@ -167,11 +126,10 @@ func NewIncrementalPooledEstimatorFromPool(pool *SamplePool, workers int, domAlg
 		contribLen:  make([]int32, pool.Theta()),
 		contribVert: make([]graph.V, tv),
 		contribSize: make([]int32, tv),
-		ownerOf:     make([]int32, pool.Theta()),
 		dirtyMark:   make([]bool, pool.Theta()),
 		unionMark:   make([]bool, n),
 	}
-	e.reshard(workers)
+	e.rebuildWorkers(workers)
 	return e
 }
 
@@ -181,73 +139,64 @@ func (e *IncrementalPooledEstimator) Theta() int { return e.pool.Theta() }
 // Pool returns the backing sample pool.
 func (e *IncrementalPooledEstimator) Pool() *SamplePool { return e.pool }
 
-// Workers returns the requested worker count (0 = GOMAXPROCS at reshard
+// Workers returns the requested worker count (0 = GOMAXPROCS at rebuild
 // time, clamped to θ).
 func (e *IncrementalPooledEstimator) Workers() int { return e.workers }
 
-// SetWorkers re-partitions the samples across the new worker count. The
-// pool, the contribution cache, and the cached Δ vector are untouched —
-// only the shard accumulators are rebuilt (one pass over the cached
-// contributions) — so a warm session can serve requests at different
-// worker counts without re-drawing or re-priming anything, and the output
-// stays bit-identical: Σ_s acc_s is invariant under the partition. No-op
-// when the effective shard count is unchanged. Must not be called
-// concurrently with DecreaseES.
+// SetWorkers changes the worker count. The pool, the contribution cache,
+// and the cached Δ vector are untouched — only the worker accumulators are
+// rebuilt (one pass over the cached contributions) — so a warm session can
+// serve requests at different worker counts without re-drawing or
+// re-priming anything, and the output stays bit-identical: Σ_w acc_w does
+// not depend on how many accumulators hold it. No-op when the effective
+// worker count is unchanged. Must not be called concurrently with
+// DecreaseES.
 func (e *IncrementalPooledEstimator) SetWorkers(workers int) {
-	if poolWorkers(workers, e.pool.Theta()) == len(e.shards) {
+	if poolWorkers(workers, e.pool.Theta()) == len(e.ws) {
 		e.workers = workers
 		return
 	}
-	e.reshard(workers)
+	e.rebuildWorkers(workers)
 }
 
-// reshard builds the shard set for the clamped worker count and, if the
-// estimator is primed, re-aggregates the per-sample contribution cache into
-// the new owners' accumulators. The staged dirty list is shard-independent
-// and survives in place; the touched-vertex marks of contributions
-// RepairPool retracted between rounds are carried over, so a worker change
-// between a pool repair and the next DecreaseES loses nothing.
-func (e *IncrementalPooledEstimator) reshard(workers int) {
+// rebuildWorkers builds the worker set for the clamped worker count and, if
+// the estimator is primed, re-aggregates the per-sample contribution cache
+// into the first worker's accumulator. The staged dirty list is
+// worker-independent and survives in place; the touched-vertex marks of
+// contributions RepairPool retracted between rounds are carried over, so a
+// worker change between a pool repair and the next DecreaseES loses
+// nothing.
+func (e *IncrementalPooledEstimator) rebuildWorkers(workers int) {
 	var pendingTouched []graph.V
-	for _, sh := range e.shards {
-		pendingTouched = append(pendingTouched, sh.touched...)
-		e.stolenPast += sh.stolen
+	for _, w := range e.ws {
+		pendingTouched = append(pendingTouched, w.touched...)
 	}
 	e.workers = workers
-	theta := e.pool.Theta()
 	n := e.pool.g.N()
-	p := poolWorkers(workers, theta)
-	e.shards = make([]*incShard, p)
-	for s := 0; s < p; s++ {
-		sh := &incShard{
-			lo:            s * theta / p,
-			hi:            (s + 1) * theta / p,
+	e.ws = make([]*incWorker, poolWorkers(workers, e.pool.Theta()))
+	for i := range e.ws {
+		e.ws[i] = &incWorker{
 			filterScratch: newFilterScratch(),
 			acc:           alignedInt64(n),
 			marked:        alignedBools(n),
 		}
-		e.shards[s] = sh
-		for i := sh.lo; i < sh.hi; i++ {
-			e.ownerOf[i] = int32(s)
-		}
 	}
 	// Touched marks exist only to drive the next round's Δ-vector refresh;
-	// any shard's list feeds the same union, so they all land on shard 0.
-	sh0 := e.shards[0]
+	// any worker's list feeds the same union, so they all land on worker 0.
+	w0 := e.ws[0]
 	for _, v := range pendingTouched {
-		if !sh0.marked[v] {
-			sh0.marked[v] = true
-			sh0.touched = append(sh0.touched, v)
+		if !w0.marked[v] {
+			w0.marked[v] = true
+			w0.touched = append(w0.touched, v)
 		}
 	}
 	if !e.primed {
 		return
 	}
-	for i := 0; i < theta; i++ {
-		acc := e.shards[e.ownerOf[i]].acc
+	for i := 0; i < e.pool.Theta(); i++ {
 		base := e.pool.contribBase(i)
 		for j := base; j < base+int64(e.contribLen[i]); j++ {
-			acc[e.contribVert[j]] += int64(e.contribSize[j])
+			w0.acc[e.contribVert[j]] += int64(e.contribSize[j])
 		}
 	}
 }
@@ -288,17 +237,19 @@ func (e *IncrementalPooledEstimator) DecreaseESFlipsView(blocked []bool, flips [
 }
 
 // smallRoundInline is the dirty-sample count under which the round runs on
-// the calling goroutine: spawning and joining shard goroutines costs more
-// than a few dozen tiny dominator runs. The serial path walks the batches
-// in fixed shard order, so the output bits do not depend on which path
-// ran.
+// the calling goroutine: spawning and joining worker goroutines costs more
+// than a few dozen tiny dominator runs. The output bits do not depend on
+// which path ran.
 const smallRoundInline = 32
 
-// stealChunk is the number of dirty samples a worker claims per cursor
-// bump. Large enough to amortize the atomic (and keep stolen samples
-// arena-adjacent), small enough that a skewed batch spreads across every
-// idle worker.
-const stealChunk = 8
+// claimChunk is the number of dirty samples a worker claims per cursor
+// bump. Each claim costs more than the atomic: whichever worker claims a
+// sample pulls its arena and contribution lines from the cache of the core
+// that processed it last. On the serving benchmark (θ=10000, ~1400 dirty
+// samples a round, 2 CPUs) chunks of 8 cost 9 % more server CPU per
+// warm-reuse solve than per-worker sample ownership did, chunks of 32
+// about 4 %. Larger chunks leave more of the round's tail on one worker.
+const claimChunk = 32
 
 // markDirty stages sample i for the next round, once.
 func (e *IncrementalPooledEstimator) markDirty(i int32) {
@@ -329,24 +280,26 @@ func (e *IncrementalPooledEstimator) decreaseES(blocked []bool, flips []graph.V,
 			copy(e.prevBlocked, blocked[:n])
 		}
 	case haveFlips:
-		mark := e.markDirty // hoisted: one method-value closure per round, not per flip
 		for _, v := range flips {
 			nb := blocked != nil && blocked[v]
 			if nb == e.prevBlocked[v] {
 				continue // duplicate flip, net no-op
 			}
 			e.prevBlocked[v] = nb
-			e.pool.samplesContaining(v, mark)
+			for _, i := range e.pool.SamplesContaining(v) {
+				e.markDirty(i)
+			}
 		}
 	default:
-		mark := e.markDirty
 		for v := 0; v < n; v++ {
 			nb := blocked != nil && blocked[v]
 			if nb == e.prevBlocked[v] {
 				continue
 			}
 			e.prevBlocked[v] = nb
-			e.pool.samplesContaining(graph.V(v), mark)
+			for _, i := range e.pool.SamplesContaining(graph.V(v)) {
+				e.markDirty(i)
+			}
 		}
 	}
 	nDirty := len(e.dirtyList)
@@ -355,82 +308,38 @@ func (e *IncrementalPooledEstimator) decreaseES(blocked []bool, flips []graph.V,
 	}
 	e.reprocessed += int64(nDirty)
 
-	// Batch handoff (serial): group the staged list by owning shard with a
-	// stable counting sort — one contiguous batch per shard, assigned in a
-	// single slice header write instead of per-sample queue appends that
-	// would dirty every shard's slice header cache line from this
-	// goroutine.
-	p := len(e.shards)
-	if cap(e.batchBuf) < nDirty {
-		e.batchBuf = make([]int32, nDirty)
-	}
-	batch := e.batchBuf[:nDirty]
-	if cap(e.batchCnt) < p+1 {
-		e.batchCnt = make([]int32, p+1)
-		e.batchPos = make([]int32, p+1)
-	}
-	cnt := e.batchCnt[:p+1]
-	for s := range cnt {
-		cnt[s] = 0
-	}
-	for _, i := range e.dirtyList {
-		cnt[e.ownerOf[i]+1]++
-	}
-	for s := 1; s <= p; s++ {
-		cnt[s] += cnt[s-1]
-	}
-	pos := e.batchPos[:p+1]
-	copy(pos, cnt)
-	for _, i := range e.dirtyList {
-		s := e.ownerOf[i]
-		batch[pos[s]] = i
-		pos[s]++
-	}
-	for s, sh := range e.shards {
-		sh.batch = batch[cnt[s]:cnt[s+1]]
-		sh.cur.Store(0)
-	}
-
-	// Phase 1: workers drain the batches — own shard first, then chunks
-	// stolen from the fullest remaining batch. Tiny rounds run inline, in
-	// shard order; the result is the same either way because every
-	// schedule folds the same exact integers.
+	// Phase 1: workers claim chunks of the dirty list through one shared
+	// cursor. Tiny rounds run inline on worker 0; the result is the same
+	// either way because every schedule folds the same exact integers.
+	p := len(e.ws)
 	parallel := p > 1 && nDirty > smallRoundInline
 	if parallel {
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := range e.shards {
+		for _, w := range e.ws {
 			wg.Add(1)
-			go func(w int) {
+			go func(w *incWorker) {
 				defer wg.Done()
-				e.runWorker(w, blocked)
+				e.claim(w, &next, blocked)
 			}(w)
 		}
 		wg.Wait()
 	} else {
-		for _, sh := range e.shards {
-			if len(sh.batch) == 0 {
-				continue
-			}
-			t0 := time.Now()
-			e.processInto(sh, sh.batch, blocked)
-			sh.processed += int64(len(sh.batch))
-			sh.procNs += time.Since(t0).Nanoseconds()
-		}
+		e.processInto(e.ws[0], e.dirtyList, blocked)
 	}
 
 	// Phase 2: refresh the cached Δ vector at exactly the touched
 	// vertices, clear the marks, and drain the round's staging. vals[u] =
-	// float64(Σ_s acc_s[u])·θ⁻¹ — the same expression PooledEstimator
-	// evaluates, with the shard sum combined pairwise (sumAcc); int64
-	// addition is exact, so the association is immaterial to the bits.
-	// Large rounds run the reduction range-partitioned in parallel:
-	// reducer r owns vertex range [r·n/R, (r+1)·n/R) and is the only
-	// goroutine that touches marks, union entries, or vals inside it, so
-	// the dedup needs no synchronization and the output cannot depend on
-	// scheduling.
+	// float64(Σ_w acc_w[u])·θ⁻¹ — the same expression PooledEstimator
+	// evaluates; int64 addition is exact, so the summation order is
+	// immaterial to the bits. Large rounds run the reduction
+	// range-partitioned in parallel: reducer r owns vertex range
+	// [r·n/R, (r+1)·n/R) and is the only goroutine that touches marks,
+	// union entries, or vals inside it, so the dedup needs no
+	// synchronization and the output cannot depend on scheduling.
 	totTouched := 0
-	for _, sh := range e.shards {
-		totTouched += len(sh.touched)
+	for _, w := range e.ws {
+		totTouched += len(w.touched)
 	}
 	inv := 1 / float64(theta)
 	if parallel && totTouched > 4*smallRoundInline {
@@ -445,16 +354,16 @@ func (e *IncrementalPooledEstimator) decreaseES(blocked []bool, flips []graph.V,
 				defer wg.Done()
 				vlo, vhi := graph.V(r*n/p), graph.V((r+1)*n/p)
 				part := parts[r][:0]
-				for _, sh := range e.shards {
-					for _, v := range sh.touched {
+				for _, w := range e.ws {
+					for _, v := range w.touched {
 						if v < vlo || v >= vhi {
 							continue
 						}
-						sh.marked[v] = false
+						w.marked[v] = false
 						if !e.unionMark[v] {
 							e.unionMark[v] = true
 							part = append(part, v)
-							e.vals[v] = float64(sumAcc(e.shards, v)) * inv
+							e.vals[v] = float64(e.sumAcc(v)) * inv
 						}
 					}
 				}
@@ -467,13 +376,13 @@ func (e *IncrementalPooledEstimator) decreaseES(blocked []bool, flips []graph.V,
 		wg.Wait()
 	} else {
 		union := e.union[:0]
-		for _, sh := range e.shards {
-			for _, v := range sh.touched {
-				sh.marked[v] = false
+		for _, w := range e.ws {
+			for _, v := range w.touched {
+				w.marked[v] = false
 				if !e.unionMark[v] {
 					e.unionMark[v] = true
 					union = append(union, v)
-					e.vals[v] = float64(sumAcc(e.shards, v)) * inv
+					e.vals[v] = float64(e.sumAcc(v)) * inv
 				}
 			}
 		}
@@ -482,9 +391,8 @@ func (e *IncrementalPooledEstimator) decreaseES(blocked []bool, flips []graph.V,
 		}
 		e.union = union
 	}
-	for _, sh := range e.shards {
-		sh.touched = sh.touched[:0]
-		sh.batch = nil
+	for _, w := range e.ws {
+		w.touched = w.touched[:0]
 	}
 	for _, i := range e.dirtyList {
 		e.dirtyMark[i] = false
@@ -493,89 +401,51 @@ func (e *IncrementalPooledEstimator) decreaseES(blocked []bool, flips []graph.V,
 	return e.vals
 }
 
-// sumAcc returns Σ_s acc_s[v] by pairwise tree reduction. int64 addition
-// is exact, so every association yields the same bits as the fixed-order
-// serial sum; the tree keeps the dependency chain at ⌈log₂ P⌉ adds for
-// wide shard counts and documents that the reduction is order-free.
-func sumAcc(shards []*incShard, v graph.V) int64 {
-	switch len(shards) {
-	case 1:
-		return shards[0].acc[v]
-	case 2:
-		return shards[0].acc[v] + shards[1].acc[v]
-	default:
-		h := len(shards) / 2
-		return sumAcc(shards[:h], v) + sumAcc(shards[h:], v)
+// sumAcc returns Σ_w acc_w[v].
+func (e *IncrementalPooledEstimator) sumAcc(v graph.V) int64 {
+	var s int64
+	for _, w := range e.ws {
+		s += w.acc[v]
 	}
+	return s
 }
 
-// runWorker is one goroutine of the parallel phase: drain the own batch,
-// then steal from whichever shard has the most work left until everything
-// is claimed.
-func (e *IncrementalPooledEstimator) runWorker(w int, blocked []bool) {
-	me := e.shards[w]
-	t0 := time.Now()
-	e.drain(me, me, blocked, false)
+// claim is one goroutine of the parallel phase: take chunks of the dirty
+// list through the shared cursor next until the list is exhausted.
+func (e *IncrementalPooledEstimator) claim(w *incWorker, next *atomic.Int64, blocked []bool) {
+	n := int64(len(e.dirtyList))
 	for {
-		var victim *incShard
-		var most int64
-		for _, sh := range e.shards {
-			if sh == me {
-				continue
-			}
-			if rem := int64(len(sh.batch)) - sh.cur.Load(); rem > most {
-				most, victim = rem, sh
-			}
-		}
-		if victim == nil {
-			break
-		}
-		e.drain(victim, me, blocked, true)
-	}
-	me.procNs += time.Since(t0).Nanoseconds()
-}
-
-// drain claims chunks of from's batch through its cursor and processes
-// them into worker to's accumulator and scratch.
-func (e *IncrementalPooledEstimator) drain(from, to *incShard, blocked []bool, steal bool) {
-	n := int64(len(from.batch))
-	for {
-		hi := from.cur.Add(stealChunk)
-		lo := hi - stealChunk
+		hi := next.Add(claimChunk)
+		lo := hi - claimChunk
 		if lo >= n {
 			return
 		}
 		if hi > n {
 			hi = n
 		}
-		e.processInto(to, from.batch[lo:hi], blocked)
-		to.processed += hi - lo
-		if steal {
-			to.stolen += hi - lo
-		}
+		e.processInto(w, e.dirtyList[lo:hi], blocked)
 	}
 }
 
 // processInto retracts each listed sample's cached contributions, recomputes
 // its filtered dominator tree under the new blocker set, and caches the
-// result — everything folded into worker to's own accumulator. The samples
-// need not be owned by to: Σ_s acc_s stays exact wherever the deltas land.
-func (e *IncrementalPooledEstimator) processInto(to *incShard, samples []int32, blocked []bool) {
+// result — everything folded into worker w's own accumulator.
+func (e *IncrementalPooledEstimator) processInto(w *incWorker, samples []int32, blocked []bool) {
 	for _, i := range samples {
 		base := e.pool.contribBase(int(i))
 		old := int64(e.contribLen[i])
 		for j := base; j < base+old; j++ {
-			to.add(e.contribVert[j], -int64(e.contribSize[j]))
+			w.add(e.contribVert[j], -int64(e.contribSize[j]))
 		}
 
-		e.pool.view(int(i), &to.sview)
-		forig, sizes := to.dominateSample(&to.sview, blocked, e.domAlgo)
+		e.pool.view(int(i), &w.sview)
+		forig, sizes := w.dominateSample(&w.sview, blocked, e.domAlgo)
 		e.contribLen[i] = int32(len(forig) - 1)
 		for fl := 1; fl < len(forig); fl++ {
 			v, sz := forig[fl], sizes[fl]
 			e.contribVert[base+int64(fl-1)] = v
 			e.contribSize[base+int64(fl-1)] = sz
-			to.add(v, int64(sz))
+			w.add(v, int64(sz))
 		}
 	}
 }
@@ -595,7 +465,6 @@ func (st *filterScratch) dominateSample(s *sampleView, blocked []bool, domAlgo D
 			}
 		}
 	}
-	s.ensureInCSR() // compressed views derive it only when this path runs
 	fg := dominator.FlowGraph{N: len(s.orig), OutStart: s.outStart, OutTo: s.outTo, InStart: s.inStart, InTo: s.inTo}
 	return s.orig, st.runDominators(&fg, domAlgo)
 }
@@ -603,17 +472,17 @@ func (st *filterScratch) dominateSample(s *sampleView, blocked []bool, domAlgo D
 // RepairPool swaps in a repaired pool (SamplePool.Repair) while keeping the
 // estimator warm: the contribution cache of every clean sample is relocated
 // to its new arena offset, while each redrawn sample's cached contributions
-// are retracted from its shard accumulator and the sample is staged dirty,
-// so the next DecreaseES call recomputes exactly the redrawn samples under
-// the new topology. The maintained state then equals — bit for bit — that of
-// an estimator built fresh on the repaired pool and primed with the same
+// are retracted from the accumulators and the sample is staged dirty, so
+// the next DecreaseES call recomputes exactly the redrawn samples under the
+// new topology. The maintained state then equals — bit for bit — that of an
+// estimator built fresh on the repaired pool and primed with the same
 // blocker history, which is what keeps warm solves warm across mutations.
 //
 // newPool must come from a Repair of the estimator's current pool (same θ,
-// same streams, same encoding) with dirty as the returned redrawn-sample
-// list; the vertex count may only have grown. Must not be called
-// concurrently with DecreaseES; back-to-back repairs without an intervening
-// DecreaseES compose correctly.
+// same streams) with dirty as the returned redrawn-sample list; the vertex
+// count may only have grown. Must not be called concurrently with
+// DecreaseES; back-to-back repairs without an intervening DecreaseES
+// compose correctly.
 func (e *IncrementalPooledEstimator) RepairPool(newPool *SamplePool, dirty []int32) {
 	old := e.pool
 	if newPool.Theta() != old.Theta() {
@@ -624,17 +493,17 @@ func (e *IncrementalPooledEstimator) RepairPool(newPool *SamplePool, dirty []int
 		e.vals = append(e.vals, make([]float64, grow)...)
 		e.prevBlocked = append(e.prevBlocked, make([]bool, grow)...)
 		e.unionMark = append(e.unionMark, make([]bool, grow)...)
-		for _, sh := range e.shards {
+		for _, w := range e.ws {
 			// Re-allocate through the aligned constructors: a plain append
 			// would land the grown arrays wherever the allocator likes,
-			// silently losing the cache-line alignment the shard layout
-			// depends on.
+			// silently losing the cache-line alignment the workers'
+			// accumulators depend on.
 			acc := alignedInt64(n)
-			copy(acc, sh.acc)
-			sh.acc = acc
+			copy(acc, w.acc)
+			w.acc = acc
 			marked := alignedBools(n)
-			copy(marked, sh.marked)
-			sh.marked = marked
+			copy(marked, w.marked)
+			w.marked = marked
 		}
 	}
 	if !e.primed {
@@ -653,12 +522,12 @@ func (e *IncrementalPooledEstimator) RepairPool(newPool *SamplePool, dirty []int
 	tv := newPool.totalVertEntries()
 	nv := make([]graph.V, tv)
 	ns := make([]int32, tv)
+	w0 := e.ws[0]
 	for i := 0; i < old.Theta(); i++ {
 		if isDirty[i] {
-			sh := e.shards[e.ownerOf[i]]
 			base := old.contribBase(i)
 			for j := base; j < base+int64(e.contribLen[i]); j++ {
-				sh.add(e.contribVert[j], -int64(e.contribSize[j]))
+				w0.add(e.contribVert[j], -int64(e.contribSize[j]))
 			}
 			// Zero length: processInto must not retract these again when it
 			// recomputes the sample next round.
@@ -682,67 +551,33 @@ type IncrementalStats struct {
 	// SamplesReprocessed is the total number of dirty samples recomputed;
 	// a full re-scan per round would make this Rounds × Theta.
 	SamplesReprocessed int64
-	// SamplesStolen is how many of those were claimed by a worker other
-	// than the shard owner — nonzero only when dirty samples skew across
-	// the θ-ranges hard enough for the work-stealing fallback to engage.
-	SamplesStolen int64
 }
 
 // Stats returns the work counters. Call between DecreaseES calls.
 func (e *IncrementalPooledEstimator) Stats() IncrementalStats {
-	st := IncrementalStats{Rounds: e.rounds, SamplesReprocessed: e.reprocessed, SamplesStolen: e.stolenPast}
-	for _, sh := range e.shards {
-		st.SamplesStolen += sh.stolen
-	}
-	return st
-}
-
-// ShardProfile is one worker shard's work counters since the last reshard,
-// for the benchcore contention profile.
-type ShardProfile struct {
-	// Lo, Hi is the shard's owned sample range [Lo, Hi).
-	Lo, Hi int
-	// Processed counts dirty samples this worker recomputed (own and
-	// stolen); Stolen is the subset claimed from other shards' batches.
-	Processed, Stolen int64
-	// Ns is the worker's cumulative wall-clock nanoseconds in the parallel
-	// dirty-processing phase.
-	Ns int64
-}
-
-// ShardProfiles snapshots the per-worker counters. Call between DecreaseES
-// calls; a reshard resets the profiles (steal totals survive in Stats).
-func (e *IncrementalPooledEstimator) ShardProfiles() []ShardProfile {
-	out := make([]ShardProfile, len(e.shards))
-	for s, sh := range e.shards {
-		out[s] = ShardProfile{Lo: sh.lo, Hi: sh.hi, Processed: sh.processed, Stolen: sh.stolen, Ns: sh.procNs}
-	}
-	return out
+	return IncrementalStats{Rounds: e.rounds, SamplesReprocessed: e.reprocessed}
 }
 
 // MemoryBytes reports the pool plus the estimator's own resident footprint:
 // cached value vector, contribution arena, previous-blocker mask, staging
-// and batch buffers, and the per-shard state — the O(n) accumulator and
-// mark arrays plus the filter and dominator scratch grown during
-// processing. On large graphs at high worker counts the per-shard state
-// dwarfs the arena itself, which is why SetWorkers is worth calling
-// downward too.
+// buffers, and the per-worker state — the O(n) accumulator and mark arrays
+// plus the filter and dominator scratch grown during processing. On large
+// graphs at high worker counts the per-worker state dwarfs the arena
+// itself, which is why SetWorkers is worth calling downward too.
 func (e *IncrementalPooledEstimator) MemoryBytes() int64 {
 	total := e.pool.MemoryBytes() +
 		int64(len(e.vals))*8 +
 		int64(len(e.contribVert))*4 + int64(len(e.contribSize))*4 +
-		int64(len(e.contribLen))*4 + int64(len(e.ownerOf))*4 +
+		int64(len(e.contribLen))*4 +
 		int64(len(e.prevBlocked)) + int64(len(e.dirtyMark)) +
-		int64(cap(e.dirtyList))*4 + int64(cap(e.batchBuf))*4 +
-		int64(cap(e.batchCnt))*4 + int64(cap(e.batchPos))*4 +
+		int64(cap(e.dirtyList))*4 +
 		int64(len(e.unionMark)) + int64(cap(e.union))*4
 	for _, part := range e.unionParts {
 		total += int64(cap(part)) * 4
 	}
-	for _, sh := range e.shards {
-		total += int64(cap(sh.acc))*8 + int64(cap(sh.marked)) +
-			int64(cap(sh.touched))*4 +
-			sh.memoryBytes() + sh.sview.memoryBytes()
+	for _, w := range e.ws {
+		total += int64(cap(w.acc))*8 + int64(cap(w.marked)) +
+			int64(cap(w.touched))*4 + w.memoryBytes()
 	}
 	return total
 }

@@ -49,10 +49,10 @@ func solveGreedyReplace(halt stopper, in *instance, est *estBackend, b int, opt 
 			return halt.abort(Result{Blockers: blockers, SampledGraphs: est.samplesDrawn()})
 		}
 		var roundStart time.Time
-		var proc0, stole0 int64
+		var proc0 int64
 		if opt.OnRound != nil {
 			roundStart = time.Now()
-			proc0, stole0 = est.workSnapshot()
+			proc0 = est.workSnapshot()
 		}
 		delta := est.decreaseES(in.src, blocked, round)
 		round++
@@ -73,7 +73,7 @@ func solveGreedyReplace(halt stopper, in *instance, est *estBackend, b int, opt 
 		blocked[best] = true
 		est.noteFlip(best)
 		blockers = append(blockers, best)
-		emitRound(opt, int(round)-1, "select", best, roundStart, est, proc0, stole0)
+		emitRound(opt, int(round)-1, "select", best, roundStart, est, proc0)
 	}
 
 	// Phase 2: replacement in reverse insertion order over the full
@@ -83,10 +83,10 @@ func solveGreedyReplace(halt stopper, in *instance, est *estBackend, b int, opt 
 			return halt.abort(Result{Blockers: blockers, SampledGraphs: est.samplesDrawn()})
 		}
 		var roundStart time.Time
-		var proc0, stole0 int64
+		var proc0 int64
 		if opt.OnRound != nil {
 			roundStart = time.Now()
-			proc0, stole0 = est.workSnapshot()
+			proc0 = est.workSnapshot()
 		}
 		u := blockers[i]
 		blocked[u] = false // B ← B \ {u}
@@ -98,13 +98,13 @@ func solveGreedyReplace(halt stopper, in *instance, est *estBackend, b int, opt 
 		if best == -1 {
 			blocked[u] = true // nothing to swap in; keep u
 			est.noteFlip(u)
-			emitRound(opt, int(round)-1, "replace", u, roundStart, est, proc0, stole0)
+			emitRound(opt, int(round)-1, "replace", u, roundStart, est, proc0)
 			continue
 		}
 		blocked[best] = true
 		est.noteFlip(best)
 		blockers[i] = best
-		emitRound(opt, int(round)-1, "replace", best, roundStart, est, proc0, stole0)
+		emitRound(opt, int(round)-1, "replace", best, roundStart, est, proc0)
 		if best == u {
 			// Early termination: the removed blocker is its own best
 			// replacement, so earlier (stronger) picks won't be replaced
@@ -117,17 +117,15 @@ func solveGreedyReplace(halt stopper, in *instance, est *estBackend, b int, opt 
 
 // emitRound fires Options.OnRound with deltas against the snapshot taken at
 // the top of the round. No-op when the hook is unset.
-func emitRound(opt Options, round int, phase string, chosen graph.V, start time.Time, est *estBackend, proc0, stole0 int64) {
+func emitRound(opt Options, round int, phase string, chosen graph.V, start time.Time, est *estBackend, proc0 int64) {
 	if opt.OnRound == nil {
 		return
 	}
-	proc1, stole1 := est.workSnapshot()
 	opt.OnRound(RoundInfo{
-		Round:         round,
-		Phase:         phase,
-		Chosen:        chosen,
-		Duration:      time.Since(start),
-		SamplesDirty:  proc1 - proc0,
-		SamplesStolen: stole1 - stole0,
+		Round:        round,
+		Phase:        phase,
+		Chosen:       chosen,
+		Duration:     time.Since(start),
+		SamplesDirty: est.workSnapshot() - proc0,
 	})
 }

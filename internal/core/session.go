@@ -89,7 +89,6 @@ type sessionInstance struct {
 type sessionPool struct {
 	seed  uint64
 	theta int
-	enc   PoolEncoding
 	est   *IncrementalPooledEstimator
 	used  int64 // LRU tick, guarded by the session lock
 	bytes int64 // est.MemoryBytes() as last folded into the poolBytes gauge
@@ -207,13 +206,13 @@ func (s *Session) prepare(seeds []graph.V) (*sessionInstance, error) {
 // streams — so warm and cold solves stay bit-identical. The cache key
 // deliberately excludes the worker count: pool content does not depend on
 // it, so a hit at a different opt.Workers only re-fans the estimator's
-// shards (SetWorkers) and keeps every cached sample and contribution.
+// workers (SetWorkers) and keeps every cached sample and contribution.
 // Caller holds the session lock and has already applied opt.withDefaults
 // and resolved opt.Workers.
 func (s *Session) warmPool(si *sessionInstance, opt Options) (sp *sessionPool, built bool) {
 	s.tick++
 	for _, c := range si.pools {
-		if c.seed == opt.Seed && c.theta == opt.Theta && c.enc == opt.PoolEncoding {
+		if c.seed == opt.Seed && c.theta == opt.Theta {
 			c.used = s.tick
 			c.est.SetWorkers(opt.Workers)
 			s.poolReuses.Add(1)
@@ -221,9 +220,9 @@ func (s *Session) warmPool(si *sessionInstance, opt Options) (sp *sessionPool, b
 		}
 	}
 	base := rng.New(opt.Seed)
-	est := NewIncrementalPooledEstimatorEnc(
-		si.est.Sampler(), si.in.src, opt.Theta, opt.Workers, s.domAlgo, base.Split(^uint64(0)), opt.PoolEncoding)
-	sp = &sessionPool{seed: opt.Seed, theta: opt.Theta, enc: opt.PoolEncoding, est: est, used: s.tick, bytes: est.MemoryBytes()}
+	est := NewIncrementalPooledEstimator(
+		si.est.Sampler(), si.in.src, opt.Theta, opt.Workers, s.domAlgo, base.Split(^uint64(0)))
+	sp = &sessionPool{seed: opt.Seed, theta: opt.Theta, est: est, used: s.tick, bytes: est.MemoryBytes()}
 	if len(si.pools) < maxSessionPools {
 		si.pools = append(si.pools, sp)
 	} else {

@@ -64,12 +64,6 @@ type Options struct {
 	// every round — the DESIGN.md §6 "sampling reuse" variant, implemented
 	// by PooledEstimator. Costs memory proportional to θ × sample size.
 	ReuseSamples bool
-	// PoolEncoding selects the arena layout of ReuseSamples pools: PoolFlat
-	// (default, fastest scans) or PoolCompressed (delta+varint sections,
-	// typically well under half the bytes at a small per-dirty-sample
-	// decode cost). Results are bit-identical across encodings; ignored
-	// when ReuseSamples is false.
-	PoolEncoding PoolEncoding
 	// Timeout aborts the run after the given duration, returning the
 	// blockers selected so far with Result.TimedOut set. Zero means no
 	// limit. (The paper caps runs at 24 hours; Figure 7/8 report BG timing
@@ -100,9 +94,10 @@ type RoundInfo struct {
 	Duration time.Duration
 	// SamplesDirty counts the live-edge samples the estimator processed
 	// this round: reprocessed dirty samples for the incremental pooled
-	// estimator, freshly drawn samples otherwise. SamplesStolen counts how
-	// many of those a work-stealing shard took from a neighbor.
-	SamplesDirty  int64
+	// estimator, freshly drawn samples otherwise.
+	SamplesDirty int64
+	// SamplesStolen is always 0; retained because the benchmark module
+	// reads it.
 	SamplesStolen int64
 }
 

@@ -195,9 +195,8 @@ func PowerLawConfiguration(n int, exponent float64, maxDeg int, directed bool, r
 func pow(x, y float64) float64 { return math.Pow(x, y) }
 
 // SkewedCascade builds a graph engineered for heavy-tailed live-edge
-// sample sizes — the regime that skews per-sample estimator work across a
-// pool's θ-ranges and makes the incremental estimator's work stealing
-// earn its keep. Vertex 0 is a gateway holding one pHot-probability edge
+// sample sizes — the regime that skews per-sample estimator work, so a
+// parallel incremental round's claimed chunks differ wildly in cost. Vertex 0 is a gateway holding one pHot-probability edge
 // to the head of each of `chains` chains; chain c is a run of always-live
 // (probability 1) edges whose length follows a 1/(c+1) power law over the
 // non-gateway vertices, so chain 0 alone spans a constant fraction of the
@@ -209,7 +208,8 @@ func pow(x, y float64) float64 { return math.Pow(x, y) }
 //
 // Sampling from vertex 0 (or seeding near it) with the IC model produces
 // pools where a handful of samples dominate the per-round work — the input
-// that tests and benchmarks use to exercise the stealing path.
+// that tests and benchmarks use to check that the parallel round stays
+// bit-identical under unbalanced load.
 func SkewedCascade(n, chains int, pHot, pBg float64, r *rng.Source) *graph.Graph {
 	if n < 2 {
 		panic("datasets: SkewedCascade needs n >= 2")

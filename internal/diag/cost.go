@@ -16,7 +16,7 @@ import "time"
 // fields are pure wait). Sample counts come straight from the core's
 // Result/RoundInfo/RepairStats accounting, so the block explains where a
 // solve's budget went: admission wait, session repair, θ sampling, dirty
-// reprocessing, and stolen cross-shard work.
+// reprocessing, and pool repair.
 type SolveCost struct {
 	// Queue waits: the per-(graph,model) session queue and the bounded
 	// solve pool.
@@ -39,12 +39,10 @@ type SolveCost struct {
 
 	// SamplesDrawn is live-edge graphs sampled fresh (θ work);
 	// SamplesDirty is stored samples re-processed by incremental rounds;
-	// SamplesStolen is cross-shard work-stealing volume;
 	// SamplesRedrawn/SamplesKept are the migrate step's pool-repair
 	// economics.
 	SamplesDrawn   int64 `json:"samples_drawn"`
 	SamplesDirty   int64 `json:"samples_dirty"`
-	SamplesStolen  int64 `json:"samples_stolen,omitempty"`
 	SamplesRedrawn int64 `json:"samples_redrawn,omitempty"`
 	SamplesKept    int64 `json:"samples_kept,omitempty"`
 
@@ -59,9 +57,8 @@ type SolveCost struct {
 // AddRound folds one OnRound callback into the cost model. It is plain field
 // arithmetic — no locks, no allocation — so it rides inside the hot per-round
 // hook without moving benchcore's ≤2 % instrumentation-overhead bar.
-func (c *SolveCost) AddRound(d time.Duration, dirty, stolen int64) {
+func (c *SolveCost) AddRound(d time.Duration, dirty int64) {
 	c.Rounds++
 	c.RoundNS += int64(d)
 	c.SamplesDirty += dirty
-	c.SamplesStolen += stolen
 }

@@ -37,7 +37,7 @@ func TestCostAccountingBitNeutral(t *testing.T) {
 		var cost diag.SolveCost
 		counted := opt
 		counted.OnRound = func(ri core.RoundInfo) {
-			cost.AddRound(ri.Duration, ri.SamplesDirty, ri.SamplesStolen)
+			cost.AddRound(ri.Duration, ri.SamplesDirty)
 		}
 		accounted, err := core.Solve(g, seeds, 6, core.AdvancedGreedy, counted)
 		if err != nil {
@@ -56,7 +56,7 @@ func TestCostAccountingBitNeutral(t *testing.T) {
 		if cost.Rounds == 0 {
 			t.Fatalf("reuse=%v: cost accounting observed no rounds", reuse)
 		}
-		if cost.RoundNS < 0 || cost.SamplesDirty < 0 || cost.SamplesStolen < 0 {
+		if cost.RoundNS < 0 || cost.SamplesDirty < 0 {
 			t.Fatalf("reuse=%v: negative cost counters: %+v", reuse, cost)
 		}
 	}
@@ -65,9 +65,9 @@ func TestCostAccountingBitNeutral(t *testing.T) {
 // TestAddRoundAccumulates checks the plain arithmetic.
 func TestAddRoundAccumulates(t *testing.T) {
 	var c diag.SolveCost
-	c.AddRound(100, 7, 2)
-	c.AddRound(50, 3, 0)
-	if c.Rounds != 2 || c.RoundNS != 150 || c.SamplesDirty != 10 || c.SamplesStolen != 2 {
+	c.AddRound(100, 7)
+	c.AddRound(50, 3)
+	if c.Rounds != 2 || c.RoundNS != 150 || c.SamplesDirty != 10 {
 		t.Fatalf("unexpected accumulation: %+v", c)
 	}
 }

@@ -5,8 +5,8 @@
 // BenchmarkDecreaseES_* benchmarks: a b-round AdvancedGreedy trajectory on
 // the ~100k-edge serving benchmark graph, replayed per estimator. On top of
 // the three modes it sweeps the incremental estimator across worker counts
-// (1, 2, 4, GOMAXPROCS) to record the sharded fast path's scaling curve —
-// and, because the shard reduction is deterministic, it asserts along the
+// (1, 2, 4, GOMAXPROCS) to record the parallel round's scaling curve —
+// and, because the worker reduction is deterministic, it asserts along the
 // way that every worker count selects bit-identical blockers.
 package harness
 
@@ -107,7 +107,7 @@ type BenchCoreMutatePoint struct {
 
 // BenchCoreScalingPoint is one point of the incremental worker sweep.
 type BenchCoreScalingPoint struct {
-	// Workers is the estimator's shard count for this point; GoMaxProcs
+	// Workers is the estimator's worker count for this point; GoMaxProcs
 	// is the scheduler parallelism it actually ran under (points above
 	// GOMAXPROCS timeshare and are expected to flatline).
 	Workers    int     `json:"workers"`
@@ -118,39 +118,6 @@ type BenchCoreScalingPoint struct {
 	// is Speedup/Workers (1.0 = perfect linear scaling).
 	Speedup    float64 `json:"speedup_vs_workers_1"`
 	Efficiency float64 `json:"scaling_efficiency"`
-}
-
-// BenchCoreShard is one worker shard's share of the headline incremental
-// measurement — the contention profile. Balanced Processed with zero Stolen
-// means the static θ-range partition alone kept the workers busy; heavy
-// Stolen means the dirty samples skewed and the work-stealing fallback
-// carried the imbalance.
-type BenchCoreShard struct {
-	Shard int `json:"shard"`
-	// Lo, Hi is the shard's owned sample range [Lo, Hi).
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// Processed counts dirty samples this worker recomputed (own and
-	// stolen); Stolen is the subset claimed from other shards' batches.
-	Processed int64 `json:"processed"`
-	Stolen    int64 `json:"stolen"`
-	// Ns is the worker's cumulative wall-clock nanoseconds in the parallel
-	// dirty-processing phase across the timed rounds.
-	Ns int64 `json:"ns"`
-}
-
-// BenchCoreEncoding is one pool layout's cost point: resident bytes, build
-// time, and the incremental estimator's single-worker round cost on it —
-// the numbers behind the compressed arena's bytes-for-nanoseconds trade.
-type BenchCoreEncoding struct {
-	Encoding      string  `json:"encoding"`
-	PoolBytes     int64   `json:"pool_bytes"`
-	PoolBuildMS   float64 `json:"pool_build_ms"`
-	NsPerRound    float64 `json:"ns_per_round"`
-	BytesPerRound float64 `json:"bytes_per_round"`
-	Workers       int     `json:"workers"`
-	GoMaxProcs    int     `json:"gomaxprocs"`
-	NumCPU        int     `json:"num_cpu"`
 }
 
 // BenchCorePersistPolicy is the WAL write-through cost of one fsync policy:
@@ -192,7 +159,7 @@ type BenchCorePersist struct {
 
 // BenchCoreInstrumentation is the observability tax measurement: the same
 // AdvancedGreedy solve run with Options.OnRound nil versus wired to the
-// serving layer's instrument set (one histogram observation and three
+// serving layer's instrument set (one histogram observation and two
 // counter adds per round, the exact work internal/service's hook does).
 // The acceptance bar is OverheadPct <= 2.
 type BenchCoreInstrumentation struct {
@@ -233,20 +200,9 @@ type BenchCoreReport struct {
 	Fresh       BenchCoreMode `json:"fresh"`
 	Pooled      BenchCoreMode `json:"pooled"`
 	Incremental BenchCoreMode `json:"incremental"`
-	// ContentionProfile is the per-shard work breakdown of the headline
-	// incremental measurement; SamplesStolen is its total cross-shard
-	// steal count.
-	ContentionProfile []BenchCoreShard `json:"contention_profile"`
-	SamplesStolen     int64            `json:"samples_stolen"`
-	// Encodings compares the flat and compressed pool layouts at one
-	// worker; the ratios are compressed/flat for pool bytes (smaller is
-	// better) and ns/round (the price paid).
-	Encodings                 []BenchCoreEncoding `json:"encodings"`
-	CompressedPoolBytesRatio  float64             `json:"compressed_pool_bytes_ratio"`
-	CompressedNsPerRoundRatio float64             `json:"compressed_ns_per_round_ratio"`
 	// IncrementalScaling sweeps the incremental estimator's worker count;
 	// BlockersIdenticalAcrossWorkers records that every sweep point
-	// re-derived the same greedy blocker sequence (the sharded reduction's
+	// re-derived the same greedy blocker sequence (the worker reduction's
 	// determinism guarantee, asserted here on the serving-size instance).
 	IncrementalScaling             []BenchCoreScalingPoint `json:"incremental_scaling"`
 	BlockersIdenticalAcrossWorkers bool                    `json:"blockers_identical_across_workers"`
@@ -485,7 +441,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 	// is checked against the pooled trajectory — the
 	// bit-identical-blockers guarantee, exercised at serving size.
 	rep.BlockersIdenticalAcrossWorkers = true
-	measureIncremental := func(pl *core.SamplePool, workers int) (BenchCoreMode, []core.ShardProfile, int64, error) {
+	measureIncremental := func(pl *core.SamplePool, workers int) (BenchCoreMode, error) {
 		incr := core.NewIncrementalPooledEstimatorFromPool(pl, workers, core.DomLengauerTarjan)
 		reTraj := make([]graph.V, 0, opt.Budget)
 		flips := make([]graph.V, 0, opt.Budget)
@@ -494,7 +450,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 			flips = flips[:0]
 			best := pickBest(vals)
 			if best == -1 {
-				return BenchCoreMode{}, nil, 0, fmt.Errorf("benchcore: sweep at workers=%d ran out of candidates", workers)
+				return BenchCoreMode{}, fmt.Errorf("benchcore: sweep at workers=%d ran out of candidates", workers)
 			}
 			blocked[best] = true
 			flips = append(flips, best)
@@ -525,24 +481,16 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		mode := BenchCoreMode{NsPerRound: ns, BytesPerRound: by,
 			SamplesPerSec: dirtyPerRound / ns * 1e9, DirtySamplesPerRound: dirtyPerRound,
 			Workers: effectiveWorkers(workers, cfg.Theta), NumCPU: rep.NumCPU}
-		return mode, incr.ShardProfiles(), incr.Stats().SamplesStolen, nil
+		return mode, nil
 	}
 
-	m, profs, stolen, err := measureIncremental(pool, cfg.Workers)
+	m, err := measureIncremental(pool, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 	rep.Incremental = m
-	rep.SamplesStolen = stolen
-	for s, pr := range profs {
-		rep.ContentionProfile = append(rep.ContentionProfile, BenchCoreShard{
-			Shard: s, Lo: pr.Lo, Hi: pr.Hi,
-			Processed: pr.Processed, Stolen: pr.Stolen, Ns: pr.Ns,
-		})
-	}
 
 	var oneWorkerNs float64
-	var oneWorkerMode BenchCoreMode
 	for i := range rep.IncrementalScaling {
 		pt := &rep.IncrementalScaling[i]
 		m := rep.Incremental
@@ -551,7 +499,7 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 			// that measurement instead of paying another priming pass and
 			// MinTime of timed rounds for identical numbers.
 			var err error
-			m, _, _, err = measureIncremental(pool, pt.Workers)
+			m, err = measureIncremental(pool, pt.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -559,7 +507,6 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		pt.NsPerRound = m.NsPerRound
 		if pt.Workers == 1 {
 			oneWorkerNs = m.NsPerRound
-			oneWorkerMode = m
 		}
 		if oneWorkerNs > 0 {
 			pt.Speedup = oneWorkerNs / m.NsPerRound
@@ -585,28 +532,6 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 				rep.GoMaxProcs, rep.NumCPU)
 		}
 	}
-
-	// Encoding comparison: the flat single-worker point from the sweep
-	// against a compressed pool of the same samples at the same worker
-	// count. Same trajectory, same bit-identity assertion.
-	t0 = time.Now()
-	cpool := core.NewSamplePoolEnc(sampler, super, cfg.Theta, cfg.Workers,
-		rng.New(cfg.Seed).Split(^uint64(0)), core.PoolCompressed)
-	compBuildMS := float64(time.Since(t0)) / float64(time.Millisecond)
-	compMode, _, _, err := measureIncremental(cpool, 1)
-	if err != nil {
-		return nil, err
-	}
-	rep.Encodings = []BenchCoreEncoding{
-		{Encoding: "flat", PoolBytes: rep.PoolBytes, PoolBuildMS: rep.PoolBuildMS,
-			NsPerRound: oneWorkerMode.NsPerRound, BytesPerRound: oneWorkerMode.BytesPerRound,
-			Workers: 1, GoMaxProcs: rep.GoMaxProcs, NumCPU: rep.NumCPU},
-		{Encoding: "compressed", PoolBytes: cpool.MemoryBytes(), PoolBuildMS: compBuildMS,
-			NsPerRound: compMode.NsPerRound, BytesPerRound: compMode.BytesPerRound,
-			Workers: 1, GoMaxProcs: rep.GoMaxProcs, NumCPU: rep.NumCPU},
-	}
-	rep.CompressedPoolBytesRatio = float64(cpool.MemoryBytes()) / float64(rep.PoolBytes)
-	rep.CompressedNsPerRoundRatio = compMode.NsPerRound / oneWorkerMode.NsPerRound
 
 	// Mutate-then-solve: per batch size, perturb that many random edges of
 	// the serving instance through the dynamic overlay, then answer one
@@ -714,17 +639,6 @@ func RunBenchCore(cfg Config, opt BenchCoreOptions) (*BenchCoreReport, error) {
 		for _, pt := range rep.IncrementalScaling {
 			fmt.Fprintf(cfg.Out, "  workers=%-3d %12.0f ns/round  speedup %.2fx  efficiency %.2f\n",
 				pt.Workers, pt.NsPerRound, pt.Speedup, pt.Efficiency)
-		}
-		fmt.Fprintf(cfg.Out, "contention profile (headline incremental, %d stolen total):\n", rep.SamplesStolen)
-		for _, sh := range rep.ContentionProfile {
-			fmt.Fprintf(cfg.Out, "  shard %-3d [%6d,%6d) processed %-10d stolen %-8d %12d ns\n",
-				sh.Shard, sh.Lo, sh.Hi, sh.Processed, sh.Stolen, sh.Ns)
-		}
-		fmt.Fprintf(cfg.Out, "pool encodings (incremental, workers=1): compressed/flat bytes %.2f, ns/round %.2f\n",
-			rep.CompressedPoolBytesRatio, rep.CompressedNsPerRoundRatio)
-		for _, e := range rep.Encodings {
-			fmt.Fprintf(cfg.Out, "  %-11s %10.1f MB pool (built %6.0f ms) %12.0f ns/round %12.0f bytes/round\n",
-				e.Encoding, float64(e.PoolBytes)/(1<<20), e.PoolBuildMS, e.NsPerRound, e.BytesPerRound)
 		}
 		fmt.Fprintf(cfg.Out, "mutate-then-solve (repair vs rebuild, θ=%d):\n", cfg.Theta)
 		for _, pt := range rep.MutateRepair {
@@ -946,8 +860,8 @@ func measureBenchPersist(g *graph.Graph, seed uint64, minTime time.Duration) (*B
 // measureInstrumentation times the same warm-pool AdvancedGreedy solve with
 // the OnRound hook absent and present. The hooked variant performs exactly
 // the per-round work internal/service's observer does — one latency
-// histogram observation, a labeled-counter resolve + increment, two counter
-// adds, and the flight recorder's SolveCost accumulation — so the measured
+// histogram observation, a labeled-counter resolve + increment, one counter
+// add, and the flight recorder's SolveCost accumulation — so the measured
 // delta is the real serving-path tax of turning metrics plus cost
 // accounting on, and the committed ≤2% bar covers both.
 func measureInstrumentation(g *graph.Graph, seeds []graph.V, cfg Config, opt BenchCoreOptions) (*BenchCoreInstrumentation, error) {
@@ -955,17 +869,15 @@ func measureInstrumentation(g *graph.Graph, seeds []graph.V, cfg Config, opt Ben
 	roundSeconds := reg.Histogram("bench_solve_round_seconds", "per-round latency", obs.DefTimeBuckets)
 	rounds := reg.CounterVec("bench_solve_rounds_total", "rounds by phase", "phase")
 	dirty := reg.Counter("bench_solve_dirty_samples_total", "dirty samples")
-	stolen := reg.Counter("bench_solve_stolen_samples_total", "stolen samples")
 
 	var observed int64
 	var cost diag.SolveCost
 	hook := func(ri core.RoundInfo) {
 		observed++
-		cost.AddRound(ri.Duration, ri.SamplesDirty, ri.SamplesStolen)
+		cost.AddRound(ri.Duration, ri.SamplesDirty)
 		roundSeconds.Observe(ri.Duration.Seconds())
 		rounds.With(ri.Phase).Inc()
 		dirty.Add(float64(ri.SamplesDirty))
-		stolen.Add(float64(ri.SamplesStolen))
 	}
 
 	solveOpt := core.Options{

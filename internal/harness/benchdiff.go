@@ -1,16 +1,19 @@
 // benchdiff.go compares a fresh benchcore report against the committed
 // BENCH_core.json baseline and turns the delta into a pass/fail verdict —
-// the perf-trajectory regression gate. Metrics fall into four classes:
+// the perf-trajectory regression gate. Metrics fall into five classes:
 //
 //   - timing:  absolute ns/round and build-time numbers. Only comparable
 //     when the baseline was measured on matching hardware provenance
 //     (GOMAXPROCS, NumCPU, requested workers); otherwise reported but
 //     ungated.
-//   - ratio:   dimensionless speedups and encoding ratios. Hardware mostly
-//     cancels out of a ratio, so these gate on every run — they are the
-//     trajectory the paper's claims rest on (warm pools beat fresh
-//     sampling, incremental beats pooled, compression trades bytes for
-//     bounded slowdown).
+//   - ratio:   dimensionless speedups between estimator modes at the same
+//     worker count. Hardware mostly cancels out of such a ratio, so these
+//     gate on every run — they are the trajectory the paper's claims rest
+//     on (warm pools beat fresh sampling, incremental beats pooled).
+//   - scaling: parallel speedups (4 workers vs 1). They measure the core
+//     count as much as the code, so they gate only when baseline and
+//     candidate ran with the same GOMAXPROCS and NumCPU; otherwise
+//     reported but ungated.
 //   - bar:     absolute acceptance bars (instrumentation overhead ≤ 2%).
 //   - bool:    determinism contracts that must simply hold (bit-identical
 //     blockers across workers, bit-identical pool repair).
@@ -45,7 +48,7 @@ type BenchDiffOptions struct {
 // BenchDiffMetric is one compared metric.
 type BenchDiffMetric struct {
 	Name  string  `json:"name"`
-	Class string  `json:"class"` // timing | ratio | bar | bool
+	Class string  `json:"class"` // timing | ratio | scaling | bar | bool
 	Base  float64 `json:"base"`
 	Cur   float64 `json:"cur"`
 	// DeltaPct is the signed change in percent, oriented so positive is
@@ -129,6 +132,12 @@ func RunBenchDiff(base, cand *BenchCoreReport, opt BenchDiffOptions) (*BenchDiff
 			base.GoMaxProcs, base.NumCPU, base.Workers,
 			cand.GoMaxProcs, cand.NumCPU, cand.Workers)
 	}
+	// The worker sweep fixes its own worker counts, so parallel speedups
+	// need only the same CPUs, not the same requested workers.
+	sameCPUs := base.GoMaxProcs == cand.GoMaxProcs && base.NumCPU == cand.NumCPU
+	if !sameCPUs {
+		fmt.Fprintf(opt.Out, "cpu provenance differs: parallel speedups reported but NOT gated\n")
+	}
 
 	// worse converts a raw delta into "positive = worse" percent.
 	add := func(name, class string, baseV, curV, worsePct, tolPct float64, gated bool) {
@@ -178,9 +187,9 @@ func RunBenchDiff(base, cand *BenchCoreReport, opt BenchDiffOptions) (*BenchDiff
 	lowerWorse("speedup_pooled_vs_fresh", "ratio", base.SpeedupPooledVsFresh, cand.SpeedupPooledVsFresh, rt, true)
 	lowerWorse("speedup_incremental_vs_pooled", "ratio", base.SpeedupIncrementalVsPooled, cand.SpeedupIncrementalVsPooled, rt, true)
 	lowerWorse("speedup_incremental_vs_fresh", "ratio", base.SpeedupIncrementalVsFresh, cand.SpeedupIncrementalVsFresh, rt, true)
-	lowerWorse("speedup_incremental_4w_vs_1w", "ratio", base.SpeedupIncremental4WVs1W, cand.SpeedupIncremental4WVs1W, rt, true)
-	higherWorse("compressed_pool_bytes_ratio", "ratio", base.CompressedPoolBytesRatio, cand.CompressedPoolBytesRatio, rt, true)
-	higherWorse("compressed_ns_per_round_ratio", "ratio", base.CompressedNsPerRoundRatio, cand.CompressedNsPerRoundRatio, rt, true)
+
+	// Parallel speedups: gated only on matching CPU provenance.
+	lowerWorse("speedup_incremental_4w_vs_1w", "scaling", base.SpeedupIncremental4WVs1W, cand.SpeedupIncremental4WVs1W, rt, sameCPUs)
 
 	// Absolute bars and determinism contracts on the candidate.
 	if cand.Instrumentation != nil {
@@ -252,7 +261,6 @@ type BenchHistoryEntry struct {
 	SpeedupPooledVsFresh       float64 `json:"speedup_pooled_vs_fresh"`
 	SpeedupIncrementalVsPooled float64 `json:"speedup_incremental_vs_pooled"`
 	SpeedupIncrementalVsFresh  float64 `json:"speedup_incremental_vs_fresh"`
-	CompressedPoolBytesRatio   float64 `json:"compressed_pool_bytes_ratio"`
 	InstrumentationOverheadPct float64 `json:"instrumentation_overhead_pct,omitempty"`
 }
 
@@ -274,7 +282,6 @@ func AppendBenchHistory(path string, cand *BenchCoreReport, res *BenchDiffResult
 		SpeedupPooledVsFresh:       round4(cand.SpeedupPooledVsFresh),
 		SpeedupIncrementalVsPooled: round4(cand.SpeedupIncrementalVsPooled),
 		SpeedupIncrementalVsFresh:  round4(cand.SpeedupIncrementalVsFresh),
-		CompressedPoolBytesRatio:   round4(cand.CompressedPoolBytesRatio),
 	}
 	if cand.Instrumentation != nil {
 		e.InstrumentationOverheadPct = round4(cand.Instrumentation.OverheadPct)

@@ -28,8 +28,6 @@ func sampleReport() *BenchCoreReport {
 	rep.SpeedupIncrementalVsPooled = 7.5
 	rep.SpeedupIncrementalVsFresh = 22.5
 	rep.SpeedupIncremental4WVs1W = 2.5
-	rep.CompressedPoolBytesRatio = 0.5
-	rep.CompressedNsPerRoundRatio = 1.3
 	rep.BlockersIdenticalAcrossWorkers = true
 	rep.MutateRepair = []BenchCoreMutatePoint{
 		{BatchEdges: 16, RepairBitIdentical: true},
@@ -124,6 +122,46 @@ func TestBenchDiffHardwareMismatchUngatesTimings(t *testing.T) {
 	}
 	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "speedup_incremental_vs_pooled") {
 		t.Fatalf("regressions = %v, want the ratio gate to fire despite hardware mismatch", res.Regressions)
+	}
+}
+
+// TestBenchDiffScalingGatedOnSameCPUs: the 4-worker speedup measures the
+// core count as much as the code, so a collapse gates on the baseline's
+// CPUs, and the same collapse on a different CPU count is reported but
+// ungated. A different requested worker count alone does not ungate it:
+// the sweep fixes its own worker counts.
+func TestBenchDiffScalingGatedOnSameCPUs(t *testing.T) {
+	base := sampleReport()
+	cand := clone(t, base)
+	cand.Workers = 2
+	cand.SpeedupIncremental4WVs1W = base.SpeedupIncremental4WVs1W * 0.7
+	res, err := RunBenchDiff(base, cand, BenchDiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Regressions) != 1 || !strings.Contains(res.Regressions[0], "speedup_incremental_4w_vs_1w") {
+		t.Fatalf("regressions = %v, want the scaling gate to fire on the same CPUs", res.Regressions)
+	}
+
+	cand.NumCPU = 2
+	cand.GoMaxProcs = 2
+	if res, err = RunBenchDiff(base, cand, BenchDiffOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Regressions) != 0 {
+		t.Fatalf("scaling delta on other CPUs failed the gate: %v", res.Regressions)
+	}
+	found := false
+	for _, m := range res.Metrics {
+		if m.Name == "speedup_incremental_4w_vs_1w" {
+			found = true
+			if m.Class != "scaling" || m.Gated {
+				t.Fatalf("4w speedup on other CPUs: class %q gated %v, want scaling and ungated", m.Class, m.Gated)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("4w speedup not reported on other CPUs")
 	}
 }
 

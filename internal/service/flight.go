@@ -107,9 +107,6 @@ func (s *Server) observeCost(c *diag.SolveCost) {
 	}
 	m.costSamples.With("drawn").Observe(float64(c.SamplesDrawn))
 	m.costSamples.With("dirty").Observe(float64(c.SamplesDirty))
-	if c.SamplesStolen > 0 {
-		m.costSamples.With("stolen").Observe(float64(c.SamplesStolen))
-	}
 	if c.SamplesRedrawn > 0 {
 		m.costSamples.With("redrawn").Observe(float64(c.SamplesRedrawn))
 	}

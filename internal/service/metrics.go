@@ -21,15 +21,14 @@ type serverMetrics struct {
 	requestIDs   *obs.Counter
 
 	// Solve path.
-	solveSeconds  *obs.HistogramVec // model, warm, encoding
-	batchItems    *obs.Histogram
-	queueWait     *obs.HistogramVec // queue = session | slot
-	inFlight      *obs.Gauge
-	sheds         *obs.Counter
-	roundSeconds  *obs.Histogram
-	rounds        *obs.CounterVec // phase = select | replace
-	dirtySamples  *obs.Counter
-	stolenSamples *obs.Counter
+	solveSeconds *obs.HistogramVec // model, warm, encoding
+	batchItems   *obs.Histogram
+	queueWait    *obs.HistogramVec // queue = session | slot
+	inFlight     *obs.Gauge
+	sheds        *obs.Counter
+	roundSeconds *obs.Histogram
+	rounds       *obs.CounterVec // phase = select | replace
+	dirtySamples *obs.Counter
 
 	// Mutation / repair path.
 	mutateSeconds    *obs.Histogram
@@ -48,7 +47,7 @@ type serverMetrics struct {
 
 	// Flight recorder: per-solve cost model and SLO watchdogs.
 	costSeconds    *obs.HistogramVec // phase = queue_session | queue_slot | migrate | solve | eval
-	costSamples    *obs.HistogramVec // kind = drawn | dirty | stolen | redrawn
+	costSamples    *obs.HistogramVec // kind = drawn | dirty | redrawn
 	sloBreaches    *obs.CounterVec   // route = solve | mutate
 	bundles        *obs.Counter
 	bundleErrors   *obs.Counter
@@ -92,8 +91,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"phase")
 	m.dirtySamples = reg.Counter("imind_solve_dirty_samples_total",
 		"Live-edge samples processed by solve rounds: reprocessed dirty samples (incremental pools) or freshly drawn ones.")
-	m.stolenSamples = reg.Counter("imind_solve_stolen_samples_total",
-		"Dirty samples a work-stealing estimator shard took from a neighbor during solve rounds.")
 
 	m.mutateSeconds = reg.Histogram("imind_mutate_commit_seconds",
 		"Mutation-batch commit latency, including the write-ahead-log append.", obs.DefTimeBuckets)
@@ -123,7 +120,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"Per-solve cost model: wall time attributed to each phase (queue_session, queue_slot, migrate, solve, eval).",
 		obs.DefTimeBuckets, "phase")
 	m.costSamples = reg.HistogramVec("imind_solve_cost_samples",
-		"Per-solve cost model: sample counts by kind (drawn, dirty, stolen, redrawn).",
+		"Per-solve cost model: sample counts by kind (drawn, dirty, redrawn).",
 		sampleCountBuckets, "kind")
 	m.sloBreaches = reg.CounterVec("imind_slo_breaches_total",
 		"Latency-objective breaches, by route (solve = -slo-solve-ms, mutate = -slo-mutate-ms).",
@@ -219,14 +216,11 @@ func warmLabel(hit bool) string {
 	return "cold"
 }
 
-// encodingLabel renders the pool-encoding label: reuse_samples solves carry
-// their arena layout, everything else samples fresh ("none").
-func encodingLabel(reuse bool, enc string) string {
+// encodingLabel renders the pool-encoding label: reuse_samples solves run
+// on a flat pool, everything else samples fresh ("none").
+func encodingLabel(reuse bool) string {
 	if !reuse {
 		return "none"
 	}
-	if enc == "" {
-		return "flat"
-	}
-	return enc
+	return "flat"
 }

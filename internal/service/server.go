@@ -1241,9 +1241,8 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 	theta := min(orDefault(req.Theta, s.cfg.DefaultTheta), s.cfg.MaxTheta)
 	mcs := min(orDefault(req.MCSRounds, s.cfg.DefaultMCSRounds), s.cfg.MaxEvalRounds)
 	workers := min(req.Workers, runtime.GOMAXPROCS(0))
-	enc, encErr := poolEncoding(req.PoolEncoding)
-	if encErr != nil {
-		return nil, encErr
+	if err := checkPoolEncoding(req.PoolEncoding); err != nil {
+		return nil, err
 	}
 	opt := core.Options{
 		Theta:        theta,
@@ -1252,7 +1251,6 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 		Workers:      workers,
 		Timeout:      timeout,
 		ReuseSamples: req.ReuseSamples,
-		PoolEncoding: enc,
 	}
 	// Per-round observer: metrics always, spans when tracing. The hook is
 	// read-only — core guarantees the selection is bit-identical with or
@@ -1260,20 +1258,16 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 	var solveSpan *obs.Span // set right before lh.Solve; rounds attach to it
 	m := s.metrics
 	opt.OnRound = func(ri core.RoundInfo) {
-		cost.AddRound(ri.Duration, ri.SamplesDirty, ri.SamplesStolen)
+		cost.AddRound(ri.Duration, ri.SamplesDirty)
 		m.roundSeconds.Observe(ri.Duration.Seconds())
 		m.rounds.With(ri.Phase).Inc()
 		m.dirtySamples.Add(float64(ri.SamplesDirty))
-		m.stolenSamples.Add(float64(ri.SamplesStolen))
 		if solveSpan != nil && solveSpan.ChildCount() < maxRoundSpans {
 			sp := solveSpan.AddTimedChild("round", ri.Duration)
 			sp.SetAttr("round", ri.Round)
 			sp.SetAttr("phase", ri.Phase)
 			sp.SetAttr("chosen", int(ri.Chosen))
 			sp.SetAttr("dirty_samples", ri.SamplesDirty)
-			if ri.SamplesStolen > 0 {
-				sp.SetAttr("stolen_samples", ri.SamplesStolen)
-			}
 		}
 	}
 
@@ -1323,7 +1317,7 @@ func (s *Server) solveOne(ctx context.Context, entry *GraphEntry, req *SolveRequ
 		return nil, apiErrorf(evalStatus(ctx), "solve: %v", err)
 	}
 	m.solveSeconds.
-		With(resp.Model, warmLabel(hit), encodingLabel(req.ReuseSamples, req.PoolEncoding)).
+		With(resp.Model, warmLabel(hit), encodingLabel(req.ReuseSamples)).
 		Observe(res.Runtime.Seconds())
 	cost.SolveNS = res.Runtime.Nanoseconds()
 	cost.SamplesDrawn = res.SampledGraphs
@@ -1427,15 +1421,15 @@ func diffusionName(d core.Diffusion) string {
 	return "IC"
 }
 
-// poolEncoding maps the request's pool_encoding field onto the core option.
-func poolEncoding(s string) (core.PoolEncoding, *apiError) {
+// checkPoolEncoding validates the request's pool_encoding field. Every
+// value it accepts selects the same (flat) pool layout; see
+// SolveRequest.PoolEncoding.
+func checkPoolEncoding(s string) *apiError {
 	switch s {
-	case "", "flat":
-		return core.PoolFlat, nil
-	case "compressed":
-		return core.PoolCompressed, nil
+	case "", "flat", "compressed":
+		return nil
 	default:
-		return 0, apiErrorf(http.StatusBadRequest, "unknown pool_encoding %q (want \"flat\" or \"compressed\")", s)
+		return apiErrorf(http.StatusBadRequest, "unknown pool_encoding %q (want \"flat\" or \"compressed\")", s)
 	}
 }
 

@@ -187,11 +187,11 @@ type SolveRequest struct {
 	EvalRounds int `json:"eval_rounds,omitempty"`
 	// Seed makes the request reproducible.
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers bounds the solve's internal parallelism (estimator shards,
+	// Workers bounds the solve's internal parallelism (estimator workers,
 	// spread evaluation). 0 uses the server's -workers default; values are
 	// clamped to GOMAXPROCS. For reuse_samples solves the blocker output is
-	// identical at every worker count (the estimator's sharded reduction is
-	// deterministic), so workers is purely a latency/parallelism knob there;
+	// identical at every worker count (the estimator's worker reduction is
+	// an exact integer sum), so workers is purely a latency/parallelism knob there;
 	// fresh-sampling solves tie their rng streams to the worker count, so
 	// equal workers is part of their reproducibility key.
 	Workers int `json:"workers,omitempty"`
@@ -201,11 +201,10 @@ type SolveRequest struct {
 	// (seeds, seed, theta), so repeated solves skip sampling entirely.
 	// Costs server memory proportional to θ × average sample size.
 	ReuseSamples bool `json:"reuse_samples,omitempty"`
-	// PoolEncoding selects the cached pool's arena layout for reuse_samples
-	// solves: "flat" (default; fastest scans) or "compressed" (delta+varint
-	// sections, typically well under half the memory at a small decode cost
-	// per reprocessed sample). Blocker output is bit-identical across
-	// encodings. Ignored without reuse_samples.
+	// PoolEncoding is accepted for compatibility with clients written
+	// when pools had two arena layouts: "", "flat" and "compressed" are
+	// all valid and every pool uses the flat layout, so the value never
+	// changes the output; any other value is rejected with 400.
 	PoolEncoding string `json:"pool_encoding,omitempty"`
 	// TimeoutMS caps the solve; 0 uses the server default. On expiry the
 	// partial blocker set is returned with timed_out set.
